@@ -81,13 +81,17 @@ bool DynamicBitset::all_in_range(size_t begin, size_t end) const {
   return true;
 }
 
-size_t DynamicBitset::find_first_unset() const {
-  for (size_t w = 0; w < words_.size(); ++w) {
-    if (words_[w] != ~uint64_t{0}) {
-      const size_t bit = static_cast<size_t>(std::countr_one(words_[w]));
-      const size_t pos = w * kBitsPerWord + bit;
-      if (pos < size_) return pos;
+size_t DynamicBitset::find_next(size_t pos, bool value) const {
+  while (pos < size_) {
+    uint64_t word = words_[pos / kBitsPerWord];
+    if (!value) word = ~word;
+    word &= ~uint64_t{0} << (pos % kBitsPerWord);
+    if (word != 0) {
+      const size_t found = pos - pos % kBitsPerWord +
+                           static_cast<size_t>(std::countr_zero(word));
+      return found < size_ ? found : size_;
     }
+    pos += kBitsPerWord - pos % kBitsPerWord;
   }
   return size_;
 }

@@ -38,8 +38,10 @@ class DynamicBitset {
   /// True when every bit in [begin, end) is set.
   bool all_in_range(size_t begin, size_t end) const;
 
-  /// Index of the first cleared bit, or size() when all bits are set.
-  size_t find_first_unset() const;
+  /// Index of the first bit at or after `pos` whose value is `value`, or
+  /// size() when there is none. Scans a word at a time, so walking the set
+  /// runs of a bitmap costs O(words + runs).
+  size_t find_next(size_t pos, bool value) const;
 
   void clear();
 

@@ -47,14 +47,23 @@ class Error : public std::runtime_error {
 /// Throws ErrorKind::kInternal. Use for broken framework invariants.
 [[noreturn]] void internal_error(const std::string& message);
 
+}  // namespace p2g
+
+// Checks are macros so the message expression is evaluated only when the
+// check fails: a passing check on a hot path builds no string. The call
+// shape is that of a function, `check_argument(condition, message)`;
+// `condition` is evaluated exactly once, `message` only on failure.
+
 /// Checks a framework invariant; throws kInternal when `condition` is false.
-inline void check_internal(bool condition, const std::string& message) {
-  if (!condition) internal_error(message);
-}
+#define check_internal(condition, message)                 \
+  do {                                                     \
+    if (!(condition)) ::p2g::internal_error((message));    \
+  } while (false)
 
 /// Checks a user-facing precondition; throws kInvalidArgument when false.
-inline void check_argument(bool condition, const std::string& message) {
-  if (!condition) throw_error(ErrorKind::kInvalidArgument, message);
-}
-
-}  // namespace p2g
+#define check_argument(condition, message)                                  \
+  do {                                                                      \
+    if (!(condition)) {                                                     \
+      ::p2g::throw_error(::p2g::ErrorKind::kInvalidArgument, (message));    \
+    }                                                                       \
+  } while (false)

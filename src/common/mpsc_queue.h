@@ -27,7 +27,6 @@
 #include <cstddef>
 #include <deque>
 #include <mutex>
-#include <optional>
 #include <utility>
 
 #include "check/sync.h"
@@ -84,7 +83,6 @@ class MpscQueue {
   /// an empty queue.
   bool pop_all(std::deque<T>& out) {
     out.clear();
-    if (!stash_.empty()) out.swap(stash_);
     drain(out);
     if (!out.empty()) return true;
     while (true) {
@@ -112,17 +110,6 @@ class MpscQueue {
       sleeping_.store(false, std::memory_order_relaxed);
       if (drain(out) > 0) return true;
     }
-  }
-
-  /// Blocking single-item pop (the unbatched ablation path). Single
-  /// consumer only. Returns nullopt only after close() with an empty queue.
-  std::optional<T> pop() {
-    while (stash_.empty()) {
-      if (!pop_all(stash_)) return std::nullopt;
-    }
-    T item = std::move(stash_.front());
-    stash_.pop_front();
-    return item;
   }
 
   /// Closes the queue; the consumer drains remaining items then fails.
@@ -186,7 +173,6 @@ class MpscQueue {
 
   std::atomic<Node*> head_;  ///< producers publish here
   Node* tail_;               ///< consumer-owned
-  std::deque<T> stash_;      ///< consumer-owned (single-item pop)
   std::atomic<int64_t> approx_size_{0};
 
   // Parking protocol (consumer raises sleeping_, producers notify).

@@ -10,9 +10,11 @@
 namespace p2g {
 
 std::string StoreOrigin::to_string() const {
-  std::string out = "kernel '" + kernel + "' instance age " +
+  std::string out = "kernel '" + std::string(kernel) + "' instance age " +
                     std::to_string(age);
-  if (!indices.empty()) out += " " + nd::to_string(indices);
+  if (!indices.empty()) {
+    out += " " + nd::to_string(nd::Coord(indices.begin(), indices.end()));
+  }
   return out;
 }
 
@@ -42,7 +44,7 @@ void FieldStorage::throw_write_once(const AgeData& ad, Age age,
   for (const auto& [region, writer] : ad.writers) {
     if (conflict.intersect(region).empty()) continue;
     msg += listed == 0 ? "; previously written by " : ", ";
-    msg += writer.to_string() + " storing " + region.to_string();
+    msg += writer + " storing " + region.to_string();
     if (++listed == 4) {
       msg += ", ...";
       break;
@@ -89,16 +91,27 @@ void FieldStorage::grow(AgeData& data, const nd::Extents& new_extents) {
   data.buffer->resize(new_extents);
 
   // Remap written bits: positions are flat indices, which change with the
-  // extents. Walk the set bits of the old layout and re-set them under the
-  // new layout.
+  // extents. Each innermost-dimension row of the old layout stays
+  // contiguous in the new one, so walk the set runs of the old bitmap, cut
+  // at row ends, and copy each with one range op.
   DynamicBitset fresh(static_cast<size_t>(new_extents.element_count()));
-  if (data.written.count() > 0) {
-    const int64_t old_count = old_extents.element_count();
-    for (int64_t flat = 0; flat < old_count; ++flat) {
-      if (data.written.test(static_cast<size_t>(flat))) {
-        const nd::Coord coord = old_extents.unflatten(flat);
-        fresh.set(static_cast<size_t>(new_extents.flatten(coord)));
-      }
+  const DynamicBitset& old = data.written;
+  const auto old_count = static_cast<size_t>(old_extents.element_count());
+  size_t pos = old.find_next(0, true);
+  while (pos < old_count) {
+    const auto row =
+        static_cast<size_t>(old_extents.dim(old_extents.rank() - 1));
+    const size_t row_begin = pos - pos % row;
+    const size_t row_end = row_begin + row;
+    // New layout strides are at least the old ones: rows only move up.
+    const size_t shift =
+        static_cast<size_t>(new_extents.flatten(
+            old_extents.unflatten(static_cast<int64_t>(row_begin)))) -
+        row_begin;
+    while (pos < row_end) {
+      const size_t run_end = std::min(old.find_next(pos, false), row_end);
+      fresh.set_range(pos + shift, run_end + shift);
+      pos = old.find_next(run_end, true);
     }
   }
   data.written = std::move(fresh);
@@ -242,8 +255,8 @@ StoreResult FieldStorage::store(Age age, const nd::Region& region,
     });
   }
   if (track_writers_) {
-    ad.writers.emplace_back(region,
-                            origin != nullptr ? *origin : StoreOrigin{});
+    const StoreOrigin writer = origin != nullptr ? *origin : StoreOrigin{};
+    ad.writers.emplace_back(region, writer.to_string());
   }
   ad.buffer->scatter(region, data);
   result.extents = ext;

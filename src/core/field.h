@@ -16,7 +16,9 @@
 #include <memory>
 #include <optional>
 #include <shared_mutex>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "check/sync.h"
@@ -55,13 +57,15 @@ struct StoreResult {
 
 /// Identity of the kernel instance performing a store, passed down so a
 /// write-once violation names the offending writer (and, in checked mode,
-/// the previous writer of the same elements).
+/// the previous writer of the same elements). It only views the caller's
+/// kernel name and indices, which must outlive the store call; nothing is
+/// copied or formatted unless the store fails or writers are tracked.
 struct StoreOrigin {
-  std::string kernel;   ///< kernel name ("injected" for remote stores)
-  Age age = 0;          ///< instance age
-  nd::Coord indices;    ///< instance index-variable values
+  std::string_view kernel;  ///< kernel name ("injected" for remote stores)
+  Age age = 0;              ///< instance age
+  std::span<const int64_t> indices;  ///< instance index-variable values
 
-  /// "kernel 'mul2' instance age 3 [2]"
+  /// "kernel 'mul2' instance age 3 (2)"
   std::string to_string() const;
 };
 
@@ -97,8 +101,8 @@ class FieldStorage {
 
   /// Checked mode (RunOptions::checked): record the origin of every store
   /// per (age, region) so a write-once violation can also report who wrote
-  /// the overlapping elements first. Costs one (Region, StoreOrigin) copy
-  /// per store; off by default.
+  /// the overlapping elements first. Costs one Region copy and one formatted
+  /// origin per store; off by default.
   void track_writers(bool enabled) { track_writers_ = enabled; }
 
   /// Marks the age's extents as final (grows the buffer if needed). Called
@@ -205,8 +209,9 @@ class FieldStorage {
     /// that is sealed but never stored — e.g. the elided intermediate of a
     /// fused pipeline — costs no memory).
     nd::Extents sealed_extents;
-    /// Writer provenance, only populated under track_writers.
-    std::vector<std::pair<nd::Region, StoreOrigin>> writers;
+    /// Writer provenance (region, formatted StoreOrigin), only populated
+    /// under track_writers.
+    std::vector<std::pair<nd::Region, std::string>> writers;
 
     nd::Extents current_extents() const {
       return sealed ? sealed_extents : buffer->extents();

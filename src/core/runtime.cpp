@@ -1,6 +1,9 @@
 #include "core/runtime.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 
 #include "common/clock.h"
 #include "common/error.h"
@@ -306,8 +309,8 @@ int64_t Runtime::inject_store(FieldId field, Age age,
   } else {
     StoreOrigin origin;
     origin.kernel = producer != kInvalidKernel
-                        ? program_.kernel(producer).name
-                        : std::string("injected");
+                        ? std::string_view(program_.kernel(producer).name)
+                        : std::string_view("injected");
     origin.age = age;
     storage(field).store(age, region, payload, &origin);
     fresh = region.element_count();
@@ -337,8 +340,8 @@ int64_t Runtime::inject_store_view(FieldId field, Age age,
   if (!did_adopt) {
     StoreOrigin origin;
     origin.kernel = producer != kInvalidKernel
-                        ? program_.kernel(producer).name
-                        : std::string("injected");
+                        ? std::string_view(program_.kernel(producer).name)
+                        : std::string_view("injected");
     origin.age = age;
     if (view.is_contiguous()) {
       storage(field).store(age, region, view.raw(), &origin);
@@ -362,10 +365,12 @@ int64_t Runtime::inject_store_view(FieldId field, Age age,
 
 std::optional<std::string> Runtime::dump_flight() const {
   if (!flight_ || !options_.flight_dir) return std::nullopt;
+  static std::atomic<uint64_t> dump_seq{0};
   const std::string label =
       options_.trace_label.empty() ? "p2g" : options_.trace_label;
-  const std::string path = *options_.flight_dir + "/flight_" + label +
-                           ".json";
+  const std::string path = *options_.flight_dir + "/flight_" + label + "." +
+                           std::to_string(::getpid()) + "." +
+                           std::to_string(dump_seq.fetch_add(1)) + ".json";
   if (!flight_->dump_file(path, label)) return std::nullopt;
   return path;
 }
@@ -452,12 +457,6 @@ void Runtime::fail(std::exception_ptr error) {
   begin_shutdown();
 }
 
-// GCC 12 falsely flags the moved-from variant inside the inlined
-// MpscQueue::pop (-Wmaybe-uninitialized, PR 105562 family).
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#endif
 void Runtime::analyzer_loop(int shard) {
   // now_ns() only when somebody consumes the timestamps: two clock reads
   // per event were measurable overhead on event-dense runs.
@@ -471,67 +470,38 @@ void Runtime::analyzer_loop(int shard) {
                               : m_shard_events_[static_cast<size_t>(shard)];
   const int64_t cpu_start = thread_cpu_ns();
 
-  if (!options_.analyzer_batch) {
-    // Ablation baseline: one event per queue round trip.
-    while (auto event = queue.pop()) {
-      const int64_t start = timed ? now_ns() : 0;
-      try {
-        analyzer_->handle(static_cast<size_t>(shard), *event);
-      } catch (...) {
-        fail(std::current_exception());
-      }
-      if (timed) {
-        const int64_t end = now_ns();
-        if (trace_) {
-          trace_->record(TraceCollector::Span{"analyze", start, end - start,
-                                              lane, 0, 0,
-                                              SpanKind::kAnalyzer, 0, 0, 0});
-        }
-        if (metrics_) {
-          m_analyzer_ns_->record(end - start);
-          m_events_->add(1);
-          if (shard_events != nullptr) shard_events->add(1);
-        }
-      }
-      complete_outstanding();
+  // Drain the whole backlog at once, handle it, then settle accounting
+  // once. The outstanding units are released only after the batch is fully
+  // handled — and any cross-shard messages it produced added their units
+  // first — so the count never undershoots the real amount of pending work
+  // (quiescence stays sound).
+  std::deque<Event> batch;
+  while (queue.pop_all(batch)) {
+    const int64_t start = timed ? now_ns() : 0;
+    const auto n = static_cast<int64_t>(batch.size());
+    try {
+      analyzer_->handle_batch(static_cast<size_t>(shard), batch);
+    } catch (...) {
+      fail(std::current_exception());
     }
-  } else {
-    // Batched: drain the whole backlog at once, handle it, then settle
-    // accounting once. The outstanding units are released only after the
-    // batch is fully handled — and any cross-shard messages it produced
-    // added their units first — so the count never undershoots the real
-    // amount of pending work (quiescence stays sound).
-    std::deque<Event> batch;
-    while (queue.pop_all(batch)) {
-      const int64_t start = timed ? now_ns() : 0;
-      const auto n = static_cast<int64_t>(batch.size());
-      try {
-        analyzer_->handle_batch(static_cast<size_t>(shard), batch);
-      } catch (...) {
-        fail(std::current_exception());
+    if (timed) {
+      const int64_t end = now_ns();
+      if (trace_) {
+        trace_->record(TraceCollector::Span{"analyze", start, end - start,
+                                            lane, 0, n,
+                                            SpanKind::kAnalyzer, 0, 0, 0});
       }
-      if (timed) {
-        const int64_t end = now_ns();
-        if (trace_) {
-          trace_->record(TraceCollector::Span{"analyze", start, end - start,
-                                              lane, 0, n,
-                                              SpanKind::kAnalyzer, 0, 0, 0});
-        }
-        if (metrics_) {
-          m_analyzer_ns_->record(end - start);
-          m_events_->add(n);
-          if (shard_events != nullptr) shard_events->add(n);
-        }
+      if (metrics_) {
+        m_analyzer_ns_->record(end - start);
+        m_events_->add(n);
+        if (shard_events != nullptr) shard_events->add(n);
       }
-      complete_outstanding(n);
     }
+    complete_outstanding(n);
   }
 
   analyzer_cpu_ns_[static_cast<size_t>(shard)] = thread_cpu_ns() - cpu_start;
 }
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
 
 void Runtime::worker_loop(int worker_index) {
   int64_t wait_start = metrics_ ? now_ns() : 0;
@@ -613,7 +583,7 @@ void Runtime::commit_stores(KernelContext& ctx, const ResolvedFusion* fusion,
     StoreOrigin origin;
     origin.kernel = def.name;
     origin.age = ctx.age();
-    origin.indices = ctx.indices();
+    origin.indices = ctx.indices();  // viewed: ctx outlives the store
 
     StoreEvent event;
     event.field = d.field;

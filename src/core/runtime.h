@@ -76,10 +76,6 @@ struct RunOptions {
   std::optional<std::chrono::milliseconds> watchdog;
   /// Oldest-first dispatch (paper §VI-B). false = plain FIFO (ablation).
   bool age_priority = true;
-  /// Batched event handling: the analyzer drains its whole event backlog
-  /// under one queue lock and amortizes trace/metrics/accounting over the
-  /// batch. false = one event per lock round trip (ablation baseline).
-  bool analyzer_batch = true;
   /// Analyzer shards (clamped to [1, 64]): dependency tracking is
   /// partitioned across this many analyzer threads, each owning a disjoint
   /// set of fields and kernels, fed by per-shard lock-free MPSC queues and
@@ -136,7 +132,9 @@ struct RunOptions {
   /// even when full tracing is off, dumped on crash/fatal error.
   bool flight_recorder = false;
   /// Directory for flight-recorder dump artifacts written on fatal errors
-  /// (and by ExecutionNode::crash()); file name is flight_<label>.json.
+  /// (and by ExecutionNode::crash()); file name is
+  /// flight_<label>.<pid>.<seq>.json, unique per dump so runs sharing the
+  /// directory never overwrite each other's artifacts.
   std::optional<std::string> flight_dir;
 
   /// Telemetry (src/obs): latency histograms, counters, and a sampler

@@ -546,8 +546,11 @@ void ExecutionNode::crash() {
   // Postmortem first: the flight recorder's rings hold the node's last
   // spans; the dump is the artifact the master stitches into the merged
   // trace. Best-effort file I/O, no thread joins (this may run on the
-  // crashing node's own send path).
+  // crashing node's own send path). The telemetry snapshot ships with it,
+  // so the master holds the node's metrics however few heartbeats ran
+  // before the crash.
   flight_dump_path_ = runtime_->dump_flight();
+  ship_metrics();
   hb_cv_.notify_all();
   runtime_->stop();
 }
@@ -575,8 +578,8 @@ void ExecutionNode::join() {
   // The runtime has drained: ship the node's final telemetry to the
   // master over the wire (the paper's profile feedback, now with
   // distributions). This overwrites any periodic snapshot the master
-  // holds. Crashed nodes are fenced off the bus and ship nothing — their
-  // last periodic snapshot survives on the master.
+  // holds. Crashed nodes are fenced off the bus and ship nothing here —
+  // the snapshot crash() shipped survives on the master.
   if (!crashed_.load()) ship_metrics();
   mailbox_->close();
   if (receiver_thread_.joinable()) receiver_thread_.join();

@@ -80,10 +80,12 @@ class ExecutionNode {
   /// ship metrics nor rethrow their error.
   void join();
 
-  /// Simulates a crash: stops the runtime and silences the heartbeat.
-  /// Flag-only and idempotent — it may be invoked from the crashing node's
-  /// own send path (a ChaosBus crash trigger), so it must never join
-  /// threads. The master fences the node via MessageBus::mark_dead.
+  /// Simulates a crash: writes the flight dump, ships a last metrics
+  /// snapshot, stops the runtime and silences the heartbeat. Idempotent.
+  /// It may be invoked from the crashing node's own send path (a ChaosBus
+  /// crash trigger), so it must never join threads. The master fences the
+  /// node via MessageBus::mark_dead, which still delivers what the node
+  /// sends.
   void crash();
 
   const std::string& name() const { return name_; }

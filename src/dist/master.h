@@ -88,7 +88,7 @@ struct MasterOptions {
   /// arrows as flow events. Implies collect_trace on every node.
   std::optional<std::string> trace_path;
   /// Enable per-node flight recorders; crashed nodes dump their rings as
-  /// flight_<node>.json artifacts into this directory.
+  /// flight_<node>.<pid>.<seq>.json artifacts into this directory.
   std::optional<std::string> flight_dir;
 };
 

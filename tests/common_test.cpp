@@ -130,10 +130,17 @@ TEST(DynamicBitset, SetRangeCrossingWords) {
 TEST(DynamicBitset, FindFirstUnset) {
   DynamicBitset b(70);
   b.set_range(0, 70);
-  EXPECT_EQ(b.find_first_unset(), 70u);
+  EXPECT_EQ(b.find_next(0, false), 70u);
   DynamicBitset c(70);
   c.set_range(0, 65);
-  EXPECT_EQ(c.find_first_unset(), 65u);
+  EXPECT_EQ(c.find_next(0, false), 65u);
+  // Set runs across a word boundary, searched from inside them.
+  DynamicBitset d(200);
+  d.set_range(60, 130);
+  EXPECT_EQ(d.find_next(0, true), 60u);
+  EXPECT_EQ(d.find_next(70, false), 130u);
+  EXPECT_EQ(d.find_next(130, true), 200u);
+  EXPECT_EQ(d.find_next(199, false), 199u);
 }
 
 TEST(DynamicBitset, ResizeGrowKeepsBits) {

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 #include <thread>
+#include <vector>
 
 #include "core/field.h"
 
@@ -55,10 +57,11 @@ TEST(FieldStorage, WriterProvenanceInViolationMessage) {
   FieldStorage fs(decl1d());
   fs.track_writers(true);
   const int32_t v = 7;
-  const StoreOrigin first{"alpha", 0, {2}};
+  const nd::Coord at{2};
+  const StoreOrigin first{"alpha", 0, at};
   fs.store(0, nd::Region::point({2}),
            reinterpret_cast<const std::byte*>(&v), &first);
-  const StoreOrigin second{"beta", 0, {2}};
+  const StoreOrigin second{"beta", 0, at};
   try {
     fs.store(0, nd::Region::point({2}),
              reinterpret_cast<const std::byte*>(&v), &second);
@@ -78,7 +81,8 @@ TEST(FieldStorage, OriginWithoutTrackingStillNamesCurrentWriter) {
   const int32_t v = 7;
   fs.store(0, nd::Region::point({2}),
            reinterpret_cast<const std::byte*>(&v));
-  const StoreOrigin second{"beta", 0, {2}};
+  const nd::Coord at{2};
+  const StoreOrigin second{"beta", 0, at};
   try {
     fs.store(0, nd::Region::point({2}),
              reinterpret_cast<const std::byte*>(&v), &second);
@@ -137,6 +141,52 @@ TEST(FieldStorage, Resize2DRemapsWrittenBits) {
   EXPECT_THROW(fs.store(0, nd::Region::point({1, 1}),
                         reinterpret_cast<const std::byte*>(&v1)),
                Error);
+}
+
+TEST(FieldStorage, RepeatedGrowsKeepWrittenBitsAndWriteOnce) {
+  // Blocks of 2x3x5 land out of raster order, so nearly every store grows
+  // the 3-D age in one or more dimensions and remaps the written bitmap,
+  // with runs that start and end inside 64-bit words. Afterwards every
+  // element's written bit must match a reference set, and overlapping
+  // stores must still be refused.
+  FieldDecl d;
+  d.id = 0;
+  d.name = "vol";
+  d.type = nd::ElementType::kInt16;
+  d.rank = 3;
+  FieldStorage fs(d);
+  const nd::Extents block({2, 3, 5});
+  const std::vector<int16_t> payload(
+      static_cast<size_t>(block.element_count()), 7);
+  const auto* bytes = reinterpret_cast<const std::byte*>(payload.data());
+  const std::vector<nd::Coord> origins = {
+      {0, 0, 0}, {2, 0, 5}, {0, 3, 0}, {4, 6, 15}, {2, 3, 10},
+      {6, 0, 0}, {0, 9, 20}, {4, 0, 5}};
+  std::set<nd::Coord> reference;
+  for (const nd::Coord& o : origins) {
+    const nd::Region region({{o[0], o[0] + 2}, {o[1], o[1] + 3},
+                             {o[2], o[2] + 5}});
+    fs.store(0, region, bytes);
+    region.for_each([&](const nd::Coord& c) { reference.insert(c); });
+  }
+  const nd::Extents ext = fs.extents(0);
+  EXPECT_EQ(ext, nd::Extents({8, 12, 25}));
+  EXPECT_EQ(fs.written_count(0), static_cast<int64_t>(reference.size()));
+  nd::Region::whole(ext).for_each([&](const nd::Coord& c) {
+    EXPECT_EQ(fs.region_written(0, nd::Region::point(c)),
+              reference.count(c) == 1)
+        << nd::to_string(c);
+  });
+  // A block straddling written and unwritten cells is still a violation.
+  try {
+    fs.store(0, nd::Region({{3, 5}, {5, 8}, {13, 18}}), bytes);
+    FAIL() << "expected write-once violation";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kWriteOnceViolation);
+  }
+  const int16_t v = 1;
+  fs.store(0, nd::Region::point({7, 11, 24}),
+           reinterpret_cast<const std::byte*>(&v));
 }
 
 TEST(FieldStorage, SealMakesExtentsFinal) {

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -20,10 +21,10 @@ TEST(MpscQueue, FifoOrderSingleProducer) {
   q.push(2);
   q.push(3);
   q.close();
-  EXPECT_EQ(q.pop().value(), 1);
-  EXPECT_EQ(q.pop().value(), 2);
-  EXPECT_EQ(q.pop().value(), 3);
-  EXPECT_FALSE(q.pop().has_value());
+  std::deque<int> batch;
+  ASSERT_TRUE(q.pop_all(batch));
+  EXPECT_EQ(batch, (std::deque<int>{1, 2, 3}));
+  EXPECT_FALSE(q.pop_all(batch));
 }
 
 TEST(MpscQueue, PopAllDrainsEverythingAtOnce) {
@@ -127,9 +128,10 @@ TEST(MpscQueue, MovesNonCopyablePayloads) {
   MpscQueue<std::unique_ptr<int>> q;
   q.push(std::make_unique<int>(5));
   q.close();
-  auto item = q.pop();
-  ASSERT_TRUE(item.has_value());
-  EXPECT_EQ(**item, 5);
+  std::deque<std::unique_ptr<int>> batch;
+  ASSERT_TRUE(q.pop_all(batch));
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(*batch.front(), 5);
 }
 
 }  // namespace

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <fstream>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -130,29 +133,6 @@ TEST(RuntimeMul2Plus5, DeterministicAcrossWorkerCounts) {
   }
   EXPECT_EQ(outputs[0], outputs[1]);
   EXPECT_EQ(outputs[1], outputs[2]);
-}
-
-TEST(RuntimeMul2Plus5, UnbatchedAnalyzerPreservesResults) {
-  // The batched analyzer loop (pop_all + handle_batch) must be observably
-  // identical to the one-event-per-lock ablation baseline.
-  Mul2Plus5 batched;
-  {
-    RunOptions opts;
-    opts.workers = 4;
-    opts.max_age = 6;
-    Runtime rt(batched.build(), opts);
-    rt.run();
-  }
-  Mul2Plus5 unbatched;
-  {
-    RunOptions opts;
-    opts.workers = 4;
-    opts.max_age = 6;
-    opts.analyzer_batch = false;
-    Runtime rt(unbatched.build(), opts);
-    rt.run();
-  }
-  EXPECT_EQ(*batched.printed, *unbatched.printed);
 }
 
 TEST(RuntimeMul2Plus5, ChunkingPreservesResults) {
@@ -308,6 +288,35 @@ TEST(Runtime, CheckedModeNamesBothWriters) {
     EXPECT_NE(what.find("writer_a"), std::string::npos) << what;
     EXPECT_NE(what.find("writer_b"), std::string::npos) << what;
     EXPECT_NE(what.find("previously written by"), std::string::npos) << what;
+  }
+}
+
+TEST(Runtime, FlightDumpsOfTwoRunsSharingADirectoryBothSurvive) {
+  // Same directory and label, as for two tests under `ctest -j`: each dump
+  // gets its own file, and both keep the flight_<label> prefix.
+  std::vector<std::string> paths;
+  for (int run = 0; run < 2; ++run) {
+    Mul2Plus5 program;
+    RunOptions opts;
+    opts.workers = 2;
+    opts.max_age = 2;
+    opts.flight_recorder = true;
+    opts.flight_dir = std::string(::testing::TempDir());
+    opts.trace_label = "shared";
+    Runtime rt(program.build(), opts);
+    rt.run();
+    const std::optional<std::string> path = rt.dump_flight();
+    ASSERT_TRUE(path.has_value());
+    EXPECT_NE(path->find("/flight_shared."), std::string::npos) << *path;
+    paths.push_back(*path);
+  }
+  EXPECT_NE(paths[0], paths[1]);
+  for (const std::string& path : paths) {
+    std::ifstream file(path);
+    std::string first_line;
+    EXPECT_TRUE(std::getline(file, first_line)) << path;
+    EXPECT_FALSE(first_line.empty()) << path;
+    std::remove(path.c_str());
   }
 }
 
