@@ -133,13 +133,17 @@ void suite_field_seal_publish(CheckSession& session) {
                  reinterpret_cast<const std::byte*>(&v));
     field->seal(0, nd::Extents({1}));
   });
-  session.spawn("reader", [field] {
-    // The lock-free fast path: spins on the published seal index. Bounded
-    // so schedules where the writer never gets ahead still terminate.
+  // Two readers: whichever fetches the sealed age first publishes it into
+  // the seal index, the other finds it there through the view fast path.
+  // Bounded polling so schedules where the writer never gets ahead still
+  // terminate.
+  const auto reader = [field] {
     for (int i = 0; i < 32; ++i) {
       if (field->try_fetch_view_whole(0).has_value()) break;
     }
-  });
+  };
+  session.spawn("reader1", reader);
+  session.spawn("reader2", reader);
 }
 
 void suite_bus_shutdown(CheckSession& session) {
@@ -355,7 +359,7 @@ void register_builtin_suites() {
         "MpscQueues",
         suite_shard_cross_handoff);
     add("field.seal_publish",
-        "FieldStorage seal-index publication vs lock-free fetch",
+        "FieldStorage seal-index publication vs view fetch",
         suite_field_seal_publish);
     add("bus.shutdown", "MessageBus send / mailbox drain vs close_all",
         suite_bus_shutdown);

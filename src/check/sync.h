@@ -1,11 +1,14 @@
 // Instrumented synchronization primitives and annotation hooks (p2gcheck).
 //
 // p2g::sync::Mutex / SharedMutex / CondVar / Thread are drop-in stand-ins
-// for their std counterparts. In a normal build they compile to direct
-// passthroughs: the only added cost per operation is one thread-local load
-// and a predictable branch (bench_check_overhead guards that this stays
-// unmeasurable). When a check::CheckSession is active they report every
-// operation to the session's EventSink, which
+// for their std counterparts. With no session they pass through to the
+// native primitive after one thread-local load and a predictable branch.
+// The locks differ from std in one respect: a contended acquisition spins
+// briefly on try_lock before it blocks (spin, then park; see kSpinTries).
+// An uncontended acquisition is a single successful try_lock, which on
+// glibc costs a few ns more than lock() (bench_check_overhead shows the
+// ratio). When a check::CheckSession is active they report every operation
+// to the session's EventSink, which
 //
 //   - feeds a FastTrack-style vector-clock happens-before engine that
 //     detects data races (P2G-C001) and lock-order cycles (P2G-C002), and
@@ -16,9 +19,9 @@
 //
 // The annotation API (check::read / write / acquire / release / fence /
 // racy_read) lets lock-free code describe its intended happens-before
-// edges: FieldStorage's seal index and the FlightRecorder rings use it so
-// the checker can verify their publication protocols instead of flagging
-// them as races.
+// edges: the MPSC event queue, the shm rings and the FlightRecorder rings
+// use it so the checker can verify their publication protocols instead of
+// flagging them as races.
 //
 // Participation model: a thread reports events only when it is registered
 // with the active session (explorer-spawned threads, sync::Thread children,
@@ -236,6 +239,40 @@ namespace p2g::sync {
 using check::EventSink;
 using check::LockMode;
 
+/// Spin, then park: how many relaxed try_lock retries a contended native
+/// acquisition makes before it blocks. The runtime's critical sections
+/// (a field's written-bitmap update, a ready-queue push, an analyzer's
+/// extents query) last ~100 ns, while blocking on a held lock costs a
+/// futex sleep/wake round trip of several µs plus a context switch on
+/// both sides. 128 pause-separated retries last about one such round trip,
+/// so a waiter rides out a short section without sleeping and a long one
+/// costs at most that much extra. On the k-means job (n=600, K=40, one
+/// worker, Release, 4 vCPU) this cut voluntary context switches per job
+/// from ~110-160 k to ~23-32 k and sys time from ~0.6 s to ~0.1 s.
+inline constexpr int kSpinTries = 128;
+
+/// CPU hint for a spin-wait iteration (yields the core's pipeline to a
+/// sibling hyperthread); a no-op where the ISA has none.
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#endif
+}
+
+/// Acquires through `try_acquire` (one attempt, then kSpinTries relaxed
+/// retries) and falls back to the blocking `acquire`.
+template <typename TryAcquire, typename Acquire>
+void spin_then_block(TryAcquire&& try_acquire, Acquire&& acquire) {
+  if (try_acquire()) return;
+  for (int i = 0; i < kSpinTries; ++i) {
+    cpu_relax();
+    if (try_acquire()) return;
+  }
+  acquire();
+}
+
 /// std::mutex stand-in. The optional name labels the lock in lock-order
 /// cycle reports ("BlockingQueue.mutex -> ReadyQueue.mutex -> ...").
 class Mutex {
@@ -252,11 +289,11 @@ class Mutex {
         sink->v_lock(this, LockMode::kExclusive, name_);
         return;
       }
-      impl_.lock();
+      native_lock();
       sink->rec_acquired(this, LockMode::kExclusive, name_);
       return;
     }
-    impl_.lock();
+    native_lock();
   }
 
   bool try_lock() {
@@ -288,6 +325,11 @@ class Mutex {
   const char* name() const { return name_; }
 
  private:
+  void native_lock() {
+    spin_then_block([this] { return impl_.try_lock(); },
+                    [this] { impl_.lock(); });
+  }
+
   std::mutex impl_;
   const char* name_ = "mutex";
 };
@@ -307,11 +349,11 @@ class SharedMutex {
         sink->v_lock(this, LockMode::kExclusive, name_);
         return;
       }
-      impl_.lock();
+      native_lock();
       sink->rec_acquired(this, LockMode::kExclusive, name_);
       return;
     }
-    impl_.lock();
+    native_lock();
   }
 
   bool try_lock() {
@@ -345,11 +387,11 @@ class SharedMutex {
         sink->v_lock(this, LockMode::kShared, name_);
         return;
       }
-      impl_.lock_shared();
+      native_lock_shared();
       sink->rec_acquired(this, LockMode::kShared, name_);
       return;
     }
-    impl_.lock_shared();
+    native_lock_shared();
   }
 
   bool try_lock_shared() {
@@ -380,6 +422,16 @@ class SharedMutex {
   const char* name() const { return name_; }
 
  private:
+  void native_lock() {
+    spin_then_block([this] { return impl_.try_lock(); },
+                    [this] { impl_.lock(); });
+  }
+
+  void native_lock_shared() {
+    spin_then_block([this] { return impl_.try_lock_shared(); },
+                    [this] { impl_.lock_shared(); });
+  }
+
   std::shared_mutex impl_;
   const char* name_ = "shared_mutex";
 };

@@ -264,9 +264,10 @@ void DependencyAnalyzer::handle_store(Shard& s, const StoreEvent& event) {
 
   // Seal bookkeeping only accumulates while the age is unsealed; late
   // elementwise stores into an already-sealed age (the extents were known
-  // before all data arrived) must not resurrect a retired entry.
-  if (event.producer != kInvalidKernel &&
-      !storage(event.field).is_sealed(event.age)) {
+  // before all data arrived) must not resurrect a retired entry. Only this
+  // (owner) shard seals the age, so the answer holds for try_seal below.
+  const bool sealed = storage(event.field).is_sealed(event.age);
+  if (event.producer != kInvalidKernel && !sealed) {
     FieldAgeState& state = s.fa_states[{event.field, event.age}];
     const ProducerKey key{event.producer, event.store_decl};
     if (event.whole) {
@@ -289,7 +290,7 @@ void DependencyAnalyzer::handle_store(Shard& s, const StoreEvent& event) {
     }
   }
 
-  check_seal(s, event.field, event.age);
+  if (!sealed) try_seal(s, event.field, event.age);
   drain_seal_worklist(s);
   announce_scan(s, event.field, event.age, &event.region);
 }
@@ -376,10 +377,12 @@ void DependencyAnalyzer::handle_scan(Shard& s,
 }
 
 void DependencyAnalyzer::check_seal(Shard& s, FieldId field, Age age) {
-  // The storage seal index is the authoritative (and thread-safe) sealed
-  // bit; the shard-local FieldAgeState only holds pre-seal bookkeeping.
-  if (storage(field).is_sealed(age)) return;
+  // The storage's sealed bit is authoritative (and thread-safe); the
+  // shard-local FieldAgeState only holds pre-seal bookkeeping.
+  if (!storage(field).is_sealed(age)) try_seal(s, field, age);
+}
 
+void DependencyAnalyzer::try_seal(Shard& s, FieldId field, Age age) {
   // Enumerate the producers of this (field, age).
   struct ActiveProducer {
     ProducerKey key;
@@ -634,9 +637,10 @@ void DependencyAnalyzer::try_enumerate(Shard& s, const KernelDef& def,
                                         "validation");
     const FetchDecl& bf = def.fetches[binding->fetch_index];
     const Age ga = bf.age.resolve(age);
-    if (ga >= 0 && storage(bf.field).is_sealed(ga)) {
-      ranges[v] = nd::Interval{0, storage(bf.field).extents(ga).dim(
-                                      binding->dim)};
+    const auto sealed = ga >= 0 ? storage(bf.field).sealed_extents(ga)
+                                : std::nullopt;
+    if (sealed) {
+      ranges[v] = nd::Interval{0, sealed->dim(binding->dim)};
     } else {
       domain_final = false;
     }
@@ -721,22 +725,14 @@ bool DependencyAnalyzer::satisfied(Shard& s, const KernelDef& def, Age age,
       ++s.certified_skips;
       continue;
     }
-    FieldStorage& fs = storage(f.field);
-    if (f.slice.is_whole()) {
-      if (!fs.is_complete(ga)) {
-        if (blocking_fetch != nullptr) *blocking_fetch = fi;
-        return false;
-      }
-    } else {
-      if (has_all_dim(f.slice) && !fs.is_sealed(ga)) {
-        if (blocking_fetch != nullptr) *blocking_fetch = fi;
-        return false;
-      }
-      const nd::Region region = f.slice.resolve(coord, fs.extents(ga));
-      if (!fs.region_written(ga, region)) {
-        if (blocking_fetch != nullptr) *blocking_fetch = fi;
-        return false;
-      }
+    const FieldStorage& fs = storage(f.field);
+    const bool ready =
+        f.slice.is_whole()
+            ? fs.is_complete(ga)
+            : fs.slice_written(ga, f.slice, coord, has_all_dim(f.slice));
+    if (!ready) {
+      if (blocking_fetch != nullptr) *blocking_fetch = fi;
+      return false;
     }
   }
   return true;
@@ -882,8 +878,9 @@ std::optional<std::vector<int64_t>> DependencyAnalyzer::domain_of(
       lengths[v] = 0;  // empty domain: this age can never run
       continue;
     }
-    if (!storage(bf.field).is_sealed(ga)) return std::nullopt;
-    lengths[v] = storage(bf.field).extents(ga).dim(binding->dim);
+    const auto sealed = storage(bf.field).sealed_extents(ga);
+    if (!sealed) return std::nullopt;
+    lengths[v] = sealed->dim(binding->dim);
   }
   return lengths;
 }

@@ -203,6 +203,8 @@ class DependencyAnalyzer {
   /// Attempts to seal (field, age); queues cascaded checks on success.
   /// Only ever called on the field's owner shard.
   void check_seal(Shard& s, FieldId field, Age age);
+  /// check_seal for an age the caller already saw unsealed.
+  void try_seal(Shard& s, FieldId field, Age age);
   void drain_seal_worklist(Shard& s);
   void on_sealed(Shard& s, FieldId field, Age age);
 

@@ -20,14 +20,6 @@ std::string StoreOrigin::to_string() const {
 
 FieldStorage::FieldStorage(FieldDecl decl) : decl_(std::move(decl)) {}
 
-const FieldStorage::SealIndex::Entry* FieldStorage::SealIndex::find(
-    Age age) const {
-  const auto it = std::lower_bound(
-      entries.begin(), entries.end(), age,
-      [](const Entry& e, Age a) { return e.age < a; });
-  return it != entries.end() && it->age == age ? &*it : nullptr;
-}
-
 void FieldStorage::throw_write_once(const AgeData& ad, Age age,
                                     const nd::Region& conflict,
                                     const StoreOrigin* origin) const {
@@ -117,29 +109,33 @@ void FieldStorage::grow(AgeData& data, const nd::Extents& new_extents) {
   data.written = std::move(fresh);
 }
 
+namespace {
+
+/// lower_bound comparator of the seal index (sorted by age).
+constexpr auto kByAge = [](const auto& entry, Age age) {
+  return entry.age < age;
+};
+
+}  // namespace
+
 void FieldStorage::publish(AgeData& data, Age age) {
   if (data.published) return;
   grow(data, data.sealed_extents);
   data.published = true;
-  rebuild_seal_index();
-  (void)age;
+  std::unique_lock lock(seal_mutex_);
+  check::write(seal_index_, "FieldStorage.seal_index");
+  seal_index_.insert(std::lower_bound(seal_index_.begin(), seal_index_.end(),
+                                      age, kByAge),
+                     SealEntry{age, data.buffer});
 }
 
-void FieldStorage::rebuild_seal_index() {
-  auto fresh = std::make_shared<SealIndex>();
-  fresh->entries.reserve(ages_.size());
-  for (const auto& [age, data] : ages_) {  // map order: sorted by age
-    if (data.published) fresh->entries.push_back({age, data.buffer});
-  }
-  // Publication protocol, spelled out for the race checker: the entries
-  // are written here, then released through the atomic index pointer; the
-  // lock-free fetch path acquires through the same pointer before reading
-  // them. Removing either side of the edge surfaces as P2G-C001.
-  check::write_range(fresh->entries.data(),
-                     fresh->entries.size() * sizeof(SealIndex::Entry),
-                     "FieldStorage.seal_index.entries");
-  check::release(&seal_index_);
-  seal_index_.store(std::move(fresh), std::memory_order_release);
+std::shared_ptr<const nd::AnyBuffer> FieldStorage::published_buffer(
+    Age age) const {
+  std::shared_lock lock(seal_mutex_);
+  check::read(seal_index_, "FieldStorage.seal_index");
+  const auto it = std::lower_bound(seal_index_.begin(), seal_index_.end(),
+                                   age, kByAge);
+  return it != seal_index_.end() && it->age == age ? it->buffer : nullptr;
 }
 
 nd::ConstView FieldStorage::make_view(
@@ -169,17 +165,11 @@ nd::ConstView FieldStorage::make_view(
 
 std::optional<nd::ConstView> FieldStorage::try_fetch_view(
     Age age, const nd::Region& region) {
-  // Fast path: a published age resolves through the lock-free index.
-  if (const auto index = seal_index_.load(std::memory_order_acquire)) {
-    check::acquire(&seal_index_);
-    check::read_range(index->entries.data(),
-                      index->entries.size() * sizeof(SealIndex::Entry),
-                      "FieldStorage.seal_index.entries");
-    if (const SealIndex::Entry* entry = index->find(age)) {
-      check_internal(region.within(entry->buffer->extents()),
-                     "fetch region outside extents of field " + decl_.name);
-      return make_view(entry->buffer, region);
-    }
+  // Fast path: a published age resolves through the seal index.
+  if (auto buffer = published_buffer(age)) {
+    check_internal(region.within(buffer->extents()),
+                   "fetch region outside extents of field " + decl_.name);
+    return make_view(std::move(buffer), region);
   }
   // Slow path: first fetch of a sealed age publishes it.
   std::unique_lock lock(mutex_);
@@ -192,15 +182,9 @@ std::optional<nd::ConstView> FieldStorage::try_fetch_view(
 }
 
 std::optional<nd::ConstView> FieldStorage::try_fetch_view_whole(Age age) {
-  if (const auto index = seal_index_.load(std::memory_order_acquire)) {
-    check::acquire(&seal_index_);
-    check::read_range(index->entries.data(),
-                      index->entries.size() * sizeof(SealIndex::Entry),
-                      "FieldStorage.seal_index.entries");
-    if (const SealIndex::Entry* entry = index->find(age)) {
-      return make_view(entry->buffer,
-                       nd::Region::whole(entry->buffer->extents()));
-    }
+  if (auto buffer = published_buffer(age)) {
+    const nd::Region whole = nd::Region::whole(buffer->extents());
+    return make_view(std::move(buffer), whole);
   }
   std::unique_lock lock(mutex_);
   const auto it = ages_.find(age);
@@ -349,26 +333,41 @@ bool FieldStorage::is_complete(Age age) const {
                            ad->sealed_extents.element_count();
 }
 
-bool FieldStorage::region_written(Age age, const nd::Region& region) const {
-  std::shared_lock lock(mutex_);
-  const AgeData* ad = find_age(age);
-  if (ad == nullptr) return false;
-  check::read(ad->written, "FieldStorage.age_meta");
-  const nd::Extents& ext = ad->buffer->extents();
+bool FieldStorage::written_within(const AgeData& data,
+                                  const nd::Region& region) {
+  check::read(data.written, "FieldStorage.age_meta");
+  const nd::Extents& ext = data.buffer->extents();
   if (!region.within(ext)) return false;
   if (const auto span = region.contiguous_span(ext)) {
-    return ad->written.all_in_range(
+    return data.written.all_in_range(
         static_cast<size_t>(span->offset),
         static_cast<size_t>(span->offset + span->length));
   }
   bool all = true;
   region.for_each([&](const nd::Coord& coord) {
     if (!all) return;
-    if (!ad->written.test(static_cast<size_t>(ext.flatten(coord)))) {
+    if (!data.written.test(static_cast<size_t>(ext.flatten(coord)))) {
       all = false;
     }
   });
   return all;
+}
+
+bool FieldStorage::region_written(Age age, const nd::Region& region) const {
+  std::shared_lock lock(mutex_);
+  const AgeData* ad = find_age(age);
+  return ad != nullptr && written_within(*ad, region);
+}
+
+bool FieldStorage::slice_written(Age age, const nd::SliceSpec& slice,
+                                 const nd::Coord& coord,
+                                 bool need_sealed) const {
+  std::shared_lock lock(mutex_);
+  const AgeData* ad = find_age(age);
+  if (ad == nullptr) return false;
+  check::read(ad->sealed, "FieldStorage.age_meta");
+  if (need_sealed && !ad->sealed) return false;
+  return written_within(*ad, slice.resolve(coord, ad->current_extents()));
 }
 
 nd::Extents FieldStorage::extents(Age age) const {
@@ -378,6 +377,15 @@ nd::Extents FieldStorage::extents(Age age) const {
     return nd::Extents(std::vector<int64_t>(decl_.rank, 0));
   }
   return ad->current_extents();
+}
+
+std::optional<nd::Extents> FieldStorage::sealed_extents(Age age) const {
+  std::shared_lock lock(mutex_);
+  const AgeData* ad = find_age(age);
+  if (ad == nullptr) return std::nullopt;
+  check::read(ad->sealed, "FieldStorage.age_meta");
+  if (!ad->sealed) return std::nullopt;
+  return ad->sealed_extents;
 }
 
 nd::AnyBuffer FieldStorage::fetch(Age age, const nd::Region& region) const {
@@ -424,9 +432,14 @@ void FieldStorage::release_age(Age age) {
   // The age's metadata address may be recycled by a future age: forget it.
   check::reset_range(&it->second, sizeof(AgeData));
   // Outstanding views keep the payload alive through their keepalive; this
-  // only drops the storage's own reference.
+  // only drops the storage's own references.
   ages_.erase(it);
-  if (was_published) rebuild_seal_index();
+  if (was_published) {
+    std::unique_lock seal_lock(seal_mutex_);
+    check::write(seal_index_, "FieldStorage.seal_index");
+    seal_index_.erase(std::lower_bound(seal_index_.begin(), seal_index_.end(),
+                                       age, kByAge));
+  }
 }
 
 std::vector<Age> FieldStorage::live_ages() const {

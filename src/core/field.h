@@ -10,7 +10,6 @@
 // extent is final and completeness (`all elements written`) is meaningful.
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
@@ -26,6 +25,7 @@
 #include "core/ids.h"
 #include "nd/buffer.h"
 #include "nd/region.h"
+#include "nd/slice.h"
 #include "nd/view.h"
 
 namespace p2g {
@@ -118,8 +118,19 @@ class FieldStorage {
   /// it has been written.
   bool region_written(Age age, const nd::Region& region) const;
 
+  /// The dependency analyzer's per-candidate fetch test, under one shared
+  /// lock: `slice` resolved at `coord` against the age's current extents
+  /// is fully written (region_written), and with `need_sealed` the age is
+  /// also sealed.
+  bool slice_written(Age age, const nd::SliceSpec& slice,
+                     const nd::Coord& coord, bool need_sealed) const;
+
   /// Current extents of an age ({} rank-`rank` zeros when never touched).
   nd::Extents extents(Age age) const;
+
+  /// Final extents of a sealed age, or nullopt while it is unsealed
+  /// (is_sealed and extents under one lock).
+  std::optional<nd::Extents> sealed_extents(Age age) const;
 
   /// Copies (age, region) into a densely packed buffer of the field's type.
   /// All elements must have been written.
@@ -137,11 +148,11 @@ class FieldStorage {
   // drop the age while kernels still hold views, and the memory is freed
   // only when the last view goes away.
   //
-  // Reads of sealed ages are lock-free in steady state: the first fetch of
-  // a sealed age publishes it (grows the buffer to its final extents under
-  // the writer lock, then installs an immutable snapshot index); later
-  // fetches resolve through an atomic snapshot load without touching the
-  // storage mutex at all.
+  // Reads of sealed ages never wait behind stores in steady state: the
+  // first fetch of a sealed age publishes it (grows the buffer to its final
+  // extents under the writer lock, then adds it to the seal index); later
+  // fetches resolve through the seal index under its own small lock,
+  // without touching the storage mutex at all.
 
   /// View of (age, region) aliasing the age buffer. Returns nullopt while
   /// the age is unsealed (the buffer may still be reallocated by implicit
@@ -203,7 +214,7 @@ class FieldStorage {
     std::shared_ptr<nd::AnyBuffer> buffer;
     DynamicBitset written;
     bool sealed = false;
-    /// The age is in the lock-free seal index (buffer at final extents).
+    /// The age is in the seal index (buffer at final extents).
     bool published = false;
     /// Final extents once sealed. The buffer itself grows lazily (an age
     /// that is sealed but never stored — e.g. the elided intermediate of a
@@ -218,17 +229,10 @@ class FieldStorage {
     }
   };
 
-  /// Immutable snapshot of the published (sealed, fully grown) ages, read
-  /// lock-free on the fetch fast path and rebuilt under the writer lock on
-  /// publish/release (both rare: once per age).
-  struct SealIndex {
-    struct Entry {
-      Age age;
-      std::shared_ptr<const nd::AnyBuffer> buffer;
-    };
-    std::vector<Entry> entries;  ///< sorted by age
-
-    const Entry* find(Age age) const;
+  /// One published (sealed, fully grown) age in the seal index.
+  struct SealEntry {
+    Age age;
+    std::shared_ptr<const nd::AnyBuffer> buffer;
   };
 
   AgeData& age_data(Age age);           // creates on demand (locked caller)
@@ -237,13 +241,15 @@ class FieldStorage {
   /// Grows buffer + written-bitmap to new extents, remapping set bits.
   void grow(AgeData& data, const nd::Extents& new_extents);
 
-  /// Grows a sealed age to its final extents and installs it in the seal
-  /// index (caller holds the writer lock).
+  /// region_written on an age the caller holds the lock of.
+  static bool written_within(const AgeData& data, const nd::Region& region);
+
+  /// Grows a sealed age to its final extents and adds it to the seal index
+  /// (caller holds the writer lock).
   void publish(AgeData& data, Age age);
 
-  /// Rebuilds the seal index from the published entries of ages_ (caller
-  /// holds the writer lock).
-  void rebuild_seal_index();
+  /// Buffer of a published age from the seal index, or nullptr.
+  std::shared_ptr<const nd::AnyBuffer> published_buffer(Age age) const;
 
   /// View of `region` aliasing a published buffer.
   nd::ConstView make_view(std::shared_ptr<const nd::AnyBuffer> buffer,
@@ -259,12 +265,13 @@ class FieldStorage {
   bool track_writers_ = false;
   BufferFactory buffer_factory_;  ///< optional external-arena allocator
   /// Writer lock for stores/seal/release/publish; shared for queries. The
-  /// published-age fetch path takes neither (its ordering is the
-  /// release-store/acquire-load pair on seal_index_, described to the
-  /// checker via check::release/check::acquire annotations).
+  /// published-age fetch path does not take it.
   mutable sync::SharedMutex mutex_{"FieldStorage.mutex"};
   std::map<Age, AgeData> ages_;
-  std::atomic<std::shared_ptr<const SealIndex>> seal_index_;
+  /// Guards seal_index_: shared on the fetch fast path, exclusive on
+  /// publish/release (both once per age, nested inside mutex_).
+  mutable sync::SharedMutex seal_mutex_{"FieldStorage.seal_index"};
+  std::vector<SealEntry> seal_index_;  ///< sorted by age
 };
 
 }  // namespace p2g

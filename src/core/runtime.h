@@ -199,8 +199,11 @@ class Runtime {
   /// Ends a keep-alive run (or aborts a normal one). Thread-safe.
   void stop() { begin_shutdown(); }
 
-  /// True when no events, ready instances or running instances exist.
-  bool idle() const { return outstanding_.load() == 0; }
+  /// True when run() has bootstrapped and no events, ready instances or
+  /// running instances exist. A run started on another thread is not idle
+  /// before its bootstrap, so a termination poller (the distributed
+  /// master) cannot mistake "not started yet" for "finished".
+  bool idle() const { return bootstrapped_.load() && outstanding_.load() == 0; }
 
   const Program& program() const { return program_; }
   FieldStorage& storage(FieldId field);
@@ -411,6 +414,7 @@ class Runtime {
   std::vector<obs::Counter*> m_shard_xshard_;
 
   std::atomic<int64_t> outstanding_{0};
+  std::atomic<bool> bootstrapped_{false};
   sync::Mutex done_mutex_{"Runtime.done_mutex"};
   sync::CondVar done_cv_{"Runtime.done_cv"};
   bool done_ = false;

@@ -1,16 +1,20 @@
 // Tests for the p2gcheck concurrency subsystem: the vector-clock
 // happens-before engine, the recording session, the seeded schedule
 // explorer (determinism, replay, exhaustive enumeration), the built-in
-// suites over the converted core/dist/ft subsystems, and the seeded-bug
-// fixtures the checker must find.
+// suites over the converted core/dist/ft subsystems, the seeded-bug
+// fixtures the checker must find, and the native spin-then-park locks
+// under contention.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <fstream>
 #include <mutex>
 #include <shared_mutex>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "check/explore.h"
 #include "check/hb_engine.h"
@@ -427,6 +431,69 @@ TEST(Passthrough, PrimitivesWorkWithoutASession) {
   }
   t.join();
   EXPECT_EQ(counter, 2);
+}
+
+// --- contended native locks (spin, then park) --------------------------------
+//
+// No session: these drive the passthrough acquisition (try_lock, bounded
+// spin, blocking lock) under real contention. Two plain ints change
+// together in every critical section, so a lost mutual exclusion shows as
+// a wrong total or as a reader seeing them differ; under ThreadSanitizer
+// the same bodies check the acquisitions' happens-before edges.
+
+constexpr int kContenders = 4;
+constexpr int kBumps = 20000;
+
+TEST(ContendedLock, MutexWritersCountExactly) {
+  sync::Mutex m("contended.m");
+  int first = 0;
+  int second = 0;
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kContenders; ++t) {
+    writers.emplace_back([&] {
+      for (int i = 0; i < kBumps; ++i) {
+        std::scoped_lock lock(m);
+        ++first;
+        ++second;
+      }
+    });
+  }
+  for (std::thread& w : writers) w.join();
+  EXPECT_EQ(first, kContenders * kBumps);
+  EXPECT_EQ(second, kContenders * kBumps);
+}
+
+TEST(ContendedLock, SharedMutexWritersExactReadersNeverTorn) {
+  sync::SharedMutex m("contended.rw");
+  int first = 0;
+  int second = 0;
+  std::atomic<int64_t> torn{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kContenders; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kBumps; ++i) {
+        std::unique_lock lock(m);
+        ++first;
+        ++second;
+      }
+    });
+    // A fixed number of reads, with a yield between them: the default
+    // rwlock prefers readers, so readers that re-acquire back to back
+    // could hold the writers off indefinitely.
+    threads.emplace_back([&] {
+      for (int i = 0; i < kBumps; ++i) {
+        {
+          std::shared_lock lock(m);
+          if (first != second) torn.fetch_add(1, std::memory_order_relaxed);
+        }
+        std::this_thread::yield();
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(first, kContenders * kBumps);
+  EXPECT_EQ(second, kContenders * kBumps);
+  EXPECT_EQ(torn.load(), 0);
 }
 
 // --- SIGABRT dump regression (async-signal-safe formatting) ------------------

@@ -239,6 +239,32 @@ TEST(FieldStorage, RegionWrittenPartial) {
       << "untouched age";
 }
 
+TEST(FieldStorage, SliceWrittenAndSealedExtents) {
+  FieldStorage fs(decl1d());
+  const nd::SliceSpec at_x({nd::SliceDim::variable(0)});
+  const nd::SliceSpec all({nd::SliceDim::all()});
+  fs.store_whole(0, ints({1, 2, 3}));
+
+  EXPECT_TRUE(fs.slice_written(0, at_x, {1}, false));
+  EXPECT_FALSE(fs.slice_written(0, at_x, {3}, false)) << "outside extents";
+  EXPECT_TRUE(fs.slice_written(0, all, {}, false));
+  EXPECT_FALSE(fs.slice_written(0, all, {}, true)) << "not sealed yet";
+  EXPECT_FALSE(fs.sealed_extents(0).has_value());
+
+  // The seal widens the extents past the written data: the all-slice now
+  // resolves against the sealed extents and is no longer fully written.
+  fs.seal(0, nd::Extents({4}));
+  EXPECT_EQ(fs.sealed_extents(0), nd::Extents({4}));
+  EXPECT_FALSE(fs.slice_written(0, all, {}, true));
+  EXPECT_TRUE(fs.slice_written(0, at_x, {2}, true));
+  const int32_t v = 4;
+  fs.store(0, nd::Region::point({3}), reinterpret_cast<const std::byte*>(&v));
+  EXPECT_TRUE(fs.slice_written(0, all, {}, true));
+
+  EXPECT_FALSE(fs.slice_written(1, at_x, {0}, false)) << "untouched age";
+  EXPECT_FALSE(fs.sealed_extents(1).has_value());
+}
+
 TEST(FieldStorage, ReleaseAgeFreesMemory) {
   FieldStorage fs(decl1d());
   fs.store_whole(0, ints({1, 2, 3}));
@@ -382,8 +408,8 @@ TEST(FieldStorageView, LazySealedAgePublishesOnFirstFetch) {
 }
 
 // Concurrent readers hold views across release_age while a writer keeps
-// producing new ages — the race the keepalive + lock-free seal index must
-// survive. Run under P2G_SANITIZE=thread to let TSan check it.
+// producing new ages — the race the keepalive + seal index must survive.
+// Run under P2G_SANITIZE=thread to let TSan check it.
 TEST(FieldStorageStress, ConcurrentViewsAcrossRelease) {
   constexpr Age kAges = 96;
   constexpr int kReaders = 4;

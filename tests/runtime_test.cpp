@@ -395,6 +395,18 @@ TEST(Runtime, RunTwiceThrows) {
   EXPECT_THROW(rt.run(), Error);
 }
 
+// A termination poller on another thread (the distributed master) must not
+// read "not started yet" as "finished".
+TEST(Runtime, NotIdleBeforeRunBootstraps) {
+  Mul2Plus5 workload;
+  RunOptions opts;
+  opts.max_age = 1;
+  Runtime rt(workload.build(), opts);
+  EXPECT_FALSE(rt.idle());
+  rt.run();
+  EXPECT_TRUE(rt.idle());
+}
+
 TEST(Runtime, EmptyProgramReturnsImmediately) {
   ProgramBuilder pb;
   pb.field("a", nd::ElementType::kInt32, 1);
